@@ -12,7 +12,10 @@ A comparator diffs two snapshots:
 * **timing** metrics are flagged when they regress by more than
   ``--tolerance`` (default 15%); they fail the run only under
   ``--strict-timing``, since absolute times are machine-dependent
-  (CI runs them advisory).
+  (CI runs them advisory);
+* **scaling** is checked within one snapshot: under ``--check`` the
+  process backend at ``cpu_count`` workers must not be slower than at
+  one worker by more than ``--tolerance``.
 
 Usage::
 
@@ -89,11 +92,15 @@ FACTOR_FULL_CASES = FACTOR_QUICK_CASES + [
 #: ``tracing_overhead`` is the traced/untraced process-mode ratio —
 #: already drift-immune, and bounded absolutely by the CI guard.
 FACTOR_TIMING_LOWER = ("reference_s", "batched_s", "process_s",
-                       "process_traced_s", "process_off_s",
-                       "tracing_overhead")
+                       "process_w1_s", "process_traced_s",
+                       "process_off_s", "tracing_overhead")
 FACTOR_TIMING_HIGHER = ("speedup", "reference_gflops", "batched_gflops",
                         "process_speedup", "process_gflops",
-                        "batch_speedup")
+                        "batch_speedup", "process_scaling")
+
+
+#: extra alternating W=1 / W=cpu_count pairs behind ``process_scaling``
+SCALING_PAIRS = 21
 
 
 def case_key(scheme: str, p: int, q: int, processors: int) -> str:
@@ -196,6 +203,12 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
     of each side and the ratio is robust to load spikes that would
     make a 3-round median a coin flip.
 
+    Every round, and :data:`SCALING_PAIRS` more alternating pairs after
+    them, also time the process backend on a one-worker pool
+    (``process_w1_s``); ``process_scaling`` is the median per-pair
+    W=1 / W=``cpu_count`` ratio, which ``--check`` requires to stay
+    above ``1 / (1 + tolerance)`` (see :func:`scaling_issues`).
+
     Micro-batched dispatch (``--batch``) context rides along: the
     process rounds run the default ``batch="auto"``, each round also
     times ``batch="off"`` (``process_off_s``; ``batch_speedup`` is the
@@ -211,7 +224,7 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
     from repro.obs import DistributedTracer
     from repro.obs.metrics import MetricsRegistry
     from repro.runtime import ProcessPool
-    from repro.runtime.groups import resolve_batch
+    from repro.runtime.groups import frontier_width, resolve_batch
 
     rng = np.random.default_rng(20110814)  # the paper's SC 2011 vintage
     a = rng.standard_normal((m, n))
@@ -220,7 +233,8 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
     sizes = [len(g) for g in groups]
     workers = os.cpu_count() or 1
 
-    with ProcessPool(workers=workers) as pool:
+    with ProcessPool(workers=workers) as pool, \
+            ProcessPool(workers=1) as pool1:
         def time_mode(mode: str, **kw) -> float:
             t0 = time.perf_counter()
             factor(a, nb=nb, ib=ib, scheme=pl, mode=mode, **kw)
@@ -229,6 +243,7 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
         time_mode("batched")  # warm all paths (plan, pools, LAPACK
         time_mode("task")     # wrappers, pool workers)
         time_mode("process", pool=pool)
+        time_mode("process", pool=pool1)
         time_mode("process", pool=pool, tracer=DistributedTracer())
         # one instrumented run records the realized micro-batch shape
         reg = MetricsRegistry()
@@ -237,9 +252,8 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
         batch_ctx = {
             "mode": "auto",
             "resolved_size": resolve_batch(
-                "auto", nb, float(np.mean([t.weight
-                                           for t in pl.graph.tasks])),
-                workers=workers),
+                "auto", nb, float(pl.index.weights.mean()),
+                workers=workers, width=frontier_width(pl.index)),
             "groups": gh.count,
             "descriptors": int(
                 reg.counter("procpool.batch.descriptors").value),
@@ -248,28 +262,39 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
                            if gh.count else
                            {"mean": 0.0, "min": 0, "max": 0}),
         }
-        ref_s, bat_s, pro_s, off_s = [], [], [], []
+        ref_s, bat_s, pro_s, off_s, w1_s = [], [], [], [], []
         trc_s, ratios, pro_ratios, off_ratios = [], [], [], []
+        scalings = []
         for _ in range(rounds):
             tb = time_mode("batched")
             tr = time_mode("task")
             tp = time_mode("process", pool=pool)
+            t1 = time_mode("process", pool=pool1)
             to = time_mode("process", pool=pool, batch="off")
             tt = time_mode("process", pool=pool,
                            tracer=DistributedTracer())
             bat_s.append(tb)
             ref_s.append(tr)
             pro_s.append(tp)
+            w1_s.append(t1)
             off_s.append(to)
             trc_s.append(tt)
             ratios.append(tr / tb)
             pro_ratios.append(tr / tp)
             off_ratios.append(to / tp)
+            scalings.append(t1 / tp)
         guard_plain, guard_traced = list(pro_s), list(trc_s)
         for _ in range(4):
             guard_plain.append(time_mode("process", pool=pool))
             guard_traced.append(time_mode("process", pool=pool,
                                           tracer=DistributedTracer()))
+        # one pair's ratio spreads ±15% at small sizes, so the scaling
+        # guard reads the median of many alternating pairs
+        for i in range(SCALING_PAIRS):
+            pair = (pool1, pool) if i % 2 else (pool, pool1)
+            t = {id(p): time_mode("process", pool=p) for p in pair}
+            w1_s.append(t[id(pool1)])
+            scalings.append(t[id(pool1)] / t[id(pool)])
     ref = float(np.median(ref_s))
     bat = float(np.median(bat_s))
     pro = float(np.median(pro_s))
@@ -288,7 +313,9 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
             "batched_s": bat,
             "process_s": pro,
             "process_traced_s": trc,
+            "process_w1_s": float(np.median(w1_s)),
             "process_off_s": float(np.median(off_s)),
+            "process_scaling": float(np.median(scalings)),
             "speedup": float(np.median(ratios)),
             "process_speedup": float(np.median(pro_ratios)),
             "batch_speedup": float(np.median(off_ratios)),
@@ -306,13 +333,19 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
 def host_metadata() -> dict:
     """Host context a performance number is meaningless without.
 
-    CPU count, platform/machine, Python/NumPy/SciPy versions, and the
+    CPU count, platform/machine, Python/NumPy/SciPy versions, the
     BLAS implementation NumPy is linked against (the single biggest
-    machine-to-machine variable for these benchmarks).  Every probe is
+    machine-to-machine variable for these benchmarks), the process
+    backend's start method and the effective OpenBLAS threads per
+    build, ``blas_threads``: ``{"parent": {lib: n}, "workers": {widx:
+    {lib: n}}}`` from a short-lived ``cpu_count`` pool.  Every probe is
     guarded — a missing SciPy or an older NumPy without
     ``show_config(mode=...)`` degrades to ``None``, never an error.
     """
     import os
+
+    from repro.runtime import ProcessPool
+    from repro.runtime.blas import blas_threads
 
     meta = {
         "cpu_count": os.cpu_count(),
@@ -323,6 +356,13 @@ def host_metadata() -> dict:
         "scipy": None,
         "blas": None,
     }
+    with ProcessPool() as pool:
+        meta["start_method"] = pool.start_method
+        workers = pool.start().blas_threads
+        meta["blas_threads"] = {
+            "parent": blas_threads(),
+            "workers": {str(w): workers[w] for w in sorted(workers)},
+        }
     try:
         import scipy
 
@@ -428,12 +468,34 @@ def compare_snapshots(base: dict, new: dict,
     return issues, compared
 
 
+def scaling_issues(snap: dict, tolerance: float = 0.15) -> list[dict]:
+    """Factor cases where ``cpu_count`` workers lose to one worker.
+
+    Flags ``process_scaling`` (the median per-pair W=1/W=cpu_count
+    time ratio) below ``1 / (1 + tolerance)``: the process backend at
+    full width slower than on a single worker by more than the noise
+    tolerance timings are compared with.  Snapshots without the key
+    (taken before it existed) yield nothing.
+    """
+    issues = []
+    for key, case in sorted(snap.get("factor", {}).items()):
+        scaling = case.get("timing", {}).get("process_scaling")
+        if scaling is not None and scaling * (1.0 + tolerance) < 1.0:
+            issues.append({"case": key, "metric": "process_scaling",
+                           "kind": "scaling", "base": 1.0,
+                           "new": scaling, "ratio": scaling})
+    return issues
+
+
 def render_issues(issues: list[dict]) -> str:
     lines = []
     for i in issues:
         if i["kind"] == "structural":
             lines.append(f"STRUCTURAL  {i['case']}  {i['metric']}: "
                          f"{i['base']} -> {i['new']}")
+        elif i["kind"] == "scaling":
+            lines.append(f"SCALING     {i['case']}  W=cpu_count is "
+                         f"{1.0 / i['ratio']:.2f}x the W=1 time")
         else:
             lines.append(f"TIMING      {i['case']}  {i['metric']}: "
                          f"{i['base']:.6g} -> {i['new']:.6g} "
@@ -465,7 +527,9 @@ def main(argv: list[str] | None = None) -> int:
                          "BENCH_<n>.json at the repo root)")
     ap.add_argument("--check", action="store_true",
                     help="compare-only: never allocate a new BENCH_<n> "
-                         "number (still writes --out when given)")
+                         "number (still writes --out when given); also "
+                         "fails when cpu_count process workers are "
+                         "slower than one beyond --tolerance")
     ap.add_argument("--baseline", metavar="PATH",
                     help="snapshot to compare against (default: the "
                          "highest committed BENCH_<n>.json)")
@@ -492,12 +556,17 @@ def main(argv: list[str] | None = None) -> int:
         out_path.write_text(json.dumps(snap, indent=1, sort_keys=True) + "\n")
         print(f"snapshot written to {out_path}")
 
+    scaling = scaling_issues(snap, tolerance=args.tolerance)
+    if scaling:
+        print(render_issues(scaling))
+    failed = bool(scaling) and args.check
+
     base_path = Path(args.baseline) if args.baseline else (
         prior[-1][1] if prior else None)
     if base_path is None or (out_path is not None
                              and base_path.resolve() == out_path.resolve()):
         print("no baseline snapshot to compare against")
-        return 0
+        return int(failed)
     base = json.loads(base_path.read_text())
     issues, compared = compare_snapshots(base, snap,
                                          tolerance=args.tolerance)
@@ -509,7 +578,7 @@ def main(argv: list[str] | None = None) -> int:
           f"(> {args.tolerance * 100:.0f}%)")
     if issues:
         print(render_issues(issues))
-    if structural:
+    if structural or failed:
         return 1
     if timing and args.strict_timing:
         return 1

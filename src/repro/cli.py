@@ -270,9 +270,10 @@ def _exec_options(args):
 def _add_batch(p) -> None:
     p.add_argument("--batch", default="auto", metavar="auto|N|off",
                    help="micro-batch dispatch for --mode process/task: "
-                        "auto (default) targets ~1ms of work per group, "
-                        "an int fixes the group size, off (or 1) "
-                        "dispatches single tasks")
+                        "auto (default) shares the ready frontier among "
+                        "workers, capped where the dispatch cost is "
+                        "amortized; an int fixes the group size, off "
+                        "(or 1) dispatches single tasks")
 
 
 def _cmd_factor(args) -> int:

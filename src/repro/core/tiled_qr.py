@@ -221,8 +221,9 @@ def tiled_qr(
         instead of an ephemeral one.
     batch : int or str
         Micro-batch dispatch for the process and threaded runtimes:
-        ``"auto"`` (default) targets ~1ms of work per group, an int
-        ``>= 2`` fixes the group size, ``"off"`` dispatches single
+        ``"auto"`` (default) sizes groups from the frontier width, the
+        worker count and the estimated task cost, an int ``>= 2``
+        fixes the group size, ``"off"`` dispatches single
         tasks.  Bit-exact with single-task dispatch on the numpy path
         (see :func:`repro.runtime.groups.resolve_batch`).
     tracer, metrics, bus, on_task_done

@@ -322,8 +322,9 @@ def execute_graph(
         how repeated factorizations amortize worker start-up.
     batch : int or str
         Micro-batch dispatch (``mode="process"`` and the threaded
-        ``mode="task"`` scheduler): ``"auto"`` (default) targets ~1ms
-        of estimated work per group, an int >= 2 fixes the group size,
+        ``mode="task"`` scheduler): ``"auto"`` (default) sizes groups
+        from the frontier width, the worker count and the estimated
+        task cost, an int >= 2 fixes the group size,
         ``"off"`` (or ``1``) dispatches single tasks.  Compatible
         (same-kernel) ready tasks execute as one stacked group —
         bit-exact with single-task dispatch on the numpy path.  See
@@ -460,12 +461,12 @@ def execute_graph(
     if batch == "off":
         batch_size = 1
     else:
-        from .groups import resolve_batch
-        idx_w = graph.index().weights
+        from .groups import frontier_width, resolve_batch
+        gidx = graph.index()
         batch_size = resolve_batch(
             batch, tiled.nb,
-            float(idx_w.mean()) if idx_w.size else 1.0,
-            workers=max(1, workers))
+            float(gidx.weights.mean()) if gidx.n else 1.0,
+            workers=max(1, workers), width=frontier_width(gidx))
     stack_ok = ctx.backend.name == "reference"
     if metrics is not None:
         metrics.gauge("scheduler.batch.size", keep_samples=False).set(

@@ -46,6 +46,7 @@ Execution splits by kernel class, mirroring
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,8 @@ from ..kernels.stacked import ts_support, tt_support
 
 __all__ = [
     "APPLY_CODES", "FACTOR_CODES", "DispatchArrays", "GroupFrontier",
-    "apply_group_pool", "dispatch_arrays", "resolve_batch", "v_runs",
+    "apply_group_pool", "dispatch_arrays", "frontier_width",
+    "resolve_batch", "v_runs",
 ]
 
 _KERNEL_TO_CODE = {k: c for c, k in enumerate(KERNEL_CODES)}
@@ -74,46 +76,78 @@ APPLY_CODES = frozenset(
 _UNMQR = _KERNEL_TO_CODE[Kernel.UNMQR]
 _TTMQR = _KERNEL_TO_CODE[Kernel.TTMQR]
 
-#: ``--batch auto`` targets at least this much estimated work per
-#: descriptor, so queue latency and deserialization amortize into the
-#: noise while groups stay small enough for least-loaded placement
-_AUTO_TARGET_SECONDS = 1e-3
+#: calibrated seconds per Table-1 weight unit at nb=64, one BLAS
+#: thread (kernel wall-times scale ~nb³; see docs/performance.md):
+#: a pinned worker computed the 16385 units of 1024²/nb=64 in 0.32 s
+_UNIT_SECONDS_NB64 = 20e-6
 
-#: calibrated seconds per Table-1 weight unit at nb=64 on small-tile
-#: BLAS (kernel wall-times scale ~nb³; see docs/performance.md)
-_UNIT_SECONDS_NB64 = 25e-6
+#: measured fixed cost of one descriptor — queue round trip,
+#: deserialization, completion and successor release in the parent:
+#: (wall - compute) / descriptors of 1024²/nb=64 at W=1, batch="off"
+_DESCRIPTOR_SECONDS = 120e-6
+
+#: auto widens a group until the descriptor's fixed cost is at most
+#: the first share of the group's compute, and stops growing it once
+#: that cost is the second share — more only delays successor release
+_AUTO_OVERHEAD_SHARES = (0.05, 0.01)
 
 #: auto never exceeds this group size — beyond it, placement quality
 #: and in-flight fairness cost more than the amortization returns
 _AUTO_MAX = 256
 
-#: auto target multiplier for a single worker: with no sibling workers
-#: to starve, larger descriptors only amortize harder (longer V runs,
-#: fewer queue round trips); measured wall-clock at 1024²/nb=64 keeps
-#: improving through ~256-task descriptors, so solo aims 32x deeper
-_AUTO_SOLO_FACTOR = 32.0
+
+def frontier_width(index) -> float:
+    """Task-weighted mean width of a graph's Kahn levels.
+
+    ``sum(w_l ** 2) / sum(w_l)`` over the level widths ``w_l``: the
+    size of the level an average task belongs to, i.e. how many tasks
+    are typically ready alongside it (the mean width ``n / L`` would
+    let the long, narrow tail of a QR DAG hide its wide early levels).
+    """
+    w = np.diff(np.asarray(index.level_ptr, dtype=np.float64))
+    return float((w * w).sum() / w.sum()) if w.size else 1.0
 
 
 def resolve_batch(batch, nb: int, mean_weight: float = 5.0,
-                  workers: int = 1) -> int:
+                  workers: int = 1, width: float | None = None) -> int:
     """Resolve a ``--batch`` setting to a concrete group size (>= 1).
 
-    ``"off"`` (or 1) disables grouping; an int is used as-is;
-    ``"auto"`` targets >= ~1ms of estimated work per descriptor from
-    the mean Table-1 task weight and the nb³ kernel cost model — small
-    tiles get large groups (the overhead-dominated regime), large
-    tiles degenerate to single-task dispatch where the kernel already
-    dwarfs the queue tax.  With a single worker the target deepens by
-    :data:`_AUTO_SOLO_FACTOR`: grouping cannot starve a sibling
-    worker, so only the amortization side of the trade remains.
+    ``"off"`` (or 1) disables grouping; an int is used as-is.
+    ``"auto"`` gives each worker an equal share of the ready set,
+    ``ceil(width / workers)``, widened or narrowed by what one
+    descriptor costs:
+
+    * ``width`` is the typical ready-set size (:func:`frontier_width`;
+      :data:`_AUTO_MAX` when unknown).  At 1024²/nb=64 it is 92.7, and
+      the measured mean ready set of a per-task run is 101–104.
+    * A descriptor costs ``c`` = :data:`_DESCRIPTOR_SECONDS` whatever
+      its size; a task ``t = mean_weight * _UNIT_SECONDS_NB64 *
+      (nb / 64)³``.  The share is raised to ``ceil(c / (0.05 t))``, so
+      ``c`` stays within 5% of the group's compute, and capped at
+      ``ceil(c / (0.01 t))``: past 1% a bigger group saves nothing
+      and holds back the successors of its first members (they retire
+      with the whole descriptor), so large tiles fall to single-task
+      dispatch.
+    * The result never exceeds ``width`` (one group cannot hold more
+      than is ready) nor :data:`_AUTO_MAX`.
+
+    Measured on one-BLAS-thread workers, 2 CPUs, interleaved medians
+    (W=2; the rule's pick in brackets): 1024²/nb=64 [47] 0.310 s at 8,
+    0.199–0.208 s at 32–128, 0.223 s at 256; 512²/nb=64 [22] 0.052 s
+    at 13, 0.048 s at 26–256; 512²/nb=32 [93] 0.119 s at 47, 0.111–
+    0.114 s at 93–186; 1024²/nb=128 [13] 0.109 s at 7, 0.114 s at 14,
+    0.120 s at 26, 0.154 s at 1.  W=1 takes the whole width (93 at
+    1024²/nb=64, where it stops improving past ~64).
     """
     if batch == "off":
         return 1
     if batch == "auto":
-        est = max(mean_weight, 1.0) * _UNIT_SECONDS_NB64 * (nb / 64.0) ** 3
-        target = _AUTO_TARGET_SECONDS * (
-            _AUTO_SOLO_FACTOR if workers <= 1 else 1.0)
-        return max(1, min(_AUTO_MAX, round(target / est)))
+        task_s = max(mean_weight, 1.0) * _UNIT_SECONDS_NB64 * (nb / 64.0) ** 3
+        floor, cap = (math.ceil(_DESCRIPTOR_SECONDS / (share * task_s))
+                      for share in _AUTO_OVERHEAD_SHARES)
+        width = _AUTO_MAX if width is None else width
+        size = max(math.ceil(width / max(1, workers)), floor)
+        return max(1, min(size, cap, math.ceil(width), _AUTO_MAX))
     size = int(batch)
     if size < 1:
         raise ValueError(f"batch must be >= 1, 'auto' or 'off', got {batch!r}")

@@ -78,10 +78,11 @@ class ExecOptions:
         Persistent worker pool to reuse in process mode.
     batch : int or str
         Micro-batch dispatch for process and threaded task modes:
-        ``"auto"`` (default) sizes groups to ~1ms of estimated work
-        per descriptor, an int >= 2 fixes the group size, ``"off"``
-        (or ``1``) dispatches single tasks.  Ignored by the batched
-        mode (inherently grouped) and the sequential executor.  See
+        ``"auto"`` (default) sizes groups from the frontier width, the
+        worker count and the estimated task cost, an int >= 2 fixes
+        the group size, ``"off"`` (or ``1``) dispatches single tasks.
+        Ignored by the batched mode (inherently grouped) and the
+        sequential executor.  See
         :func:`repro.runtime.groups.resolve_batch`.
     """
 

@@ -63,6 +63,7 @@ from ..obs.stream import NULL_BUS, BusRelay
 from ..obs.tracer import DistributedTracer, estimate_clock_sync
 from ..tiles.layout import TiledMatrix
 from ..tiles.shared_pool import SharedArray, SharedTilePool
+from .blas import blas_threads, openblas_builds, pin_blas_threads
 from .executor import ExecutionContext, _KIND, _clamp_ib
 from .groups import (
     FACTOR_CODES,
@@ -71,6 +72,7 @@ from .groups import (
     broadcast_tfactor,
     dedup_hits,
     dispatch_arrays,
+    frontier_width,
     resolve_batch,
 )
 
@@ -106,11 +108,8 @@ _POLL_S = 1.0
 #: growth on very large runs
 _SPAN_FLUSH = 4096
 
-#: environment knobs that pin per-worker BLAS threading.  Set around
-#: worker start-up so children initialize single-threaded BLAS pools
-#: (the parent's already-initialized BLAS is unaffected; fork children
-#: inherit the parent's thread count regardless — see
-#: docs/performance.md).
+#: thread-count variables a freshly loading BLAS reads (start-up only;
+#: see ProcessPool._ensure_started)
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
              "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -296,7 +295,16 @@ def _worker_main(widx: int, inq, done_q, publisher) -> None:
     worker's own clock reading (``("sync_ack", widx, token, t)``): the
     parent's NTP-style handshake that aligns those stamps onto its
     timeline.
+
+    Before its first message the worker pins every loaded OpenBLAS
+    build to one thread (:func:`~repro.runtime.blas.pin_blas_threads`:
+    a forked child inherits its parent's BLAS thread pool, whatever
+    the environment says) and announces itself with ``("ready", widx,
+    counts)``, ``counts`` the effective threads per build.  Every
+    per-run ``ready`` ack carries a fresh reading of the same probe.
     """
+    builds = openblas_builds()
+    done_q.put(("ready", widx, pin_blas_threads(1, builds)))
     state: _RunState | None = None
     free_t = 0.0
     while True:
@@ -448,7 +456,7 @@ def _worker_main(widx: int, inq, done_q, publisher) -> None:
             except BaseException:
                 done_q.put(("error", widx, -1, traceback.format_exc()))
                 continue
-            done_q.put(("ready", widx))
+            done_q.put(("ready", widx, blas_threads(builds)))
         elif kind == "endrun":
             if state is not None:
                 _flush_spans(state, widx, publisher)
@@ -529,11 +537,30 @@ class ProcessPool:
         self._pending: dict[int, list] = {}
         self._clock_prev: dict = {}
         self._sched_ok = 0
+        self._blas: dict[int, dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     @property
     def started(self) -> bool:
         return bool(self._procs)
+
+    @property
+    def blas_threads(self) -> dict[int, dict[str, int]]:
+        """Effective OpenBLAS threads per worker, ``{widx: {lib: n}}``.
+
+        What each worker last reported (at start-up and at every run's
+        ``ready`` ack), read through each build's ``get_num_threads``:
+        an observation of the pin, not a setting.  Empty until the
+        workers start.
+        """
+        return {w: dict(c) for w, c in self._blas.items()}
+
+    def start(self) -> "ProcessPool":
+        """Start the workers now (idempotent) and wait until each has
+        pinned its BLAS and reported ready; :meth:`run` otherwise
+        starts them lazily."""
+        self._ensure_started()
+        return self
 
     def _ensure_started(self) -> None:
         if self._procs:
@@ -549,10 +576,16 @@ class ProcessPool:
         from multiprocessing import resource_tracker
         resource_tracker.ensure_running()
         self._done_q = self._ctx.Queue()
-        saved = {k: os.environ.get(k) for k in _BLAS_ENV}
+        # A spawn/forkserver child loads OpenBLAS afresh, and these
+        # variables make it load single-threaded: start-up is ~0.1 s
+        # shorter at W=2 without helper threads spinning through the
+        # imports.  A fork child inherits the parent's loaded library
+        # and ignores them.  Either way the worker's own pin is what
+        # makes it single-threaded.
+        env = {} if self.start_method == "fork" else {
+            k: os.environ.get(k) for k in _BLAS_ENV}
         try:
-            for k in _BLAS_ENV:
-                os.environ[k] = "1"
+            os.environ.update(dict.fromkeys(env, "1"))
             for widx in range(self.workers):
                 inq = self._ctx.Queue()
                 p = self._ctx.Process(
@@ -564,11 +597,13 @@ class ProcessPool:
                 self._inqs.append(inq)
                 self._procs.append(p)
         finally:
-            for k, v in saved.items():
+            for k, v in env.items():
                 if v is None:
                     os.environ.pop(k, None)
                 else:
                     os.environ[k] = v
+        # each worker pins its BLAS, then announces itself
+        self._await("ready", self.workers)
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop the workers (idempotent)."""
@@ -589,6 +624,7 @@ class ProcessPool:
         for q in self._inqs + ([self._done_q] if self._done_q else []):
             q.close()
         self._inqs, self._procs, self._done_q = [], [], None
+        self._blas.clear()
 
     def __enter__(self) -> "ProcessPool":
         return self
@@ -753,7 +789,8 @@ class ProcessPool:
                 and hasattr(plan_obj, "bottom_levels") else None)
         mean_w = float(idx.weights.mean()) if idx.weights.size else 1.0
         batch_size = resolve_batch(batch, tiled.nb, mean_w,
-                                   workers=self.workers)
+                                   workers=self.workers,
+                                   width=frontier_width(idx))
         if metrics is not None:
             metrics.gauge("procpool.batch.size", keep_samples=False).set(
                 batch_size)
@@ -905,6 +942,8 @@ class ProcessPool:
                 continue
             if msg[0] == expect:
                 got += 1
+                if expect == "ready":
+                    self._blas[msg[1]] = msg[2]
             elif msg[0] == "error":
                 self._broken = True
                 self.close(timeout=0.1)

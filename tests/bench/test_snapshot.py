@@ -141,7 +141,62 @@ class TestSnapshotFiles:
         assert [i for i in issues if i["kind"] == "structural"] == []
 
 
+def _factor_case(scaling):
+    return {"timing": {"process_s": 1.0, "process_w1_s": scaling,
+                       "process_scaling": scaling}}
+
+
+class TestScalingGuard:
+    def test_slower_at_full_width_is_flagged(self):
+        snap = {"factor": {"k": _factor_case(0.8)}}
+        issues = snapshot.scaling_issues(snap, tolerance=0.15)
+        assert [i["kind"] for i in issues] == ["scaling"]
+        assert "SCALING" in snapshot.render_issues(issues)
+
+    def test_within_tolerance_or_faster_is_clean(self):
+        for scaling in (0.9, 1.0, 1.6):
+            snap = {"factor": {"k": _factor_case(scaling)}}
+            assert snapshot.scaling_issues(snap, tolerance=0.15) == []
+
+    def test_snapshots_predating_the_key_are_clean(self):
+        for doc in (snapshot.existing_snapshots()[0][1],
+                    REPO_ROOT / "BENCH_5.json"):
+            base = json.loads(Path(doc).read_text())
+            assert snapshot.scaling_issues(base) == []
+
+    def test_old_baseline_compares_with_new_keys(self, quick_snap):
+        """A baseline without process_w1_s / process_scaling / the
+        blas_threads block still compares: the new keys are skipped."""
+        base = json.loads((REPO_ROOT / "BENCH_5.json").read_text())
+        new = copy.deepcopy(base)
+        new["host"] = quick_snap["host"]
+        for case in new["factor"].values():
+            case["timing"].update(process_w1_s=1.0, process_scaling=1.0)
+        issues, compared = snapshot.compare_snapshots(base, new)
+        assert compared == len(base["cases"]) + len(base["factor"])
+        assert issues == []
+
+    def test_check_fails_on_a_scaling_regression(self, monkeypatch,
+                                                 tmp_path):
+        snap = {"factor": {"k": _factor_case(0.5)}}
+        monkeypatch.setattr(snapshot, "take_snapshot", lambda quick: snap)
+        out = tmp_path / "s.json"
+        argv = ["--quick", "--out", str(out), "--baseline", str(out)]
+        assert snapshot.main(argv + ["--check"]) == 1
+        assert snapshot.main(argv) == 0
+
+
 class TestHostMetadata:
+    def test_blas_threads_recorded(self):
+        meta = snapshot.host_metadata()
+        threads = meta["blas_threads"]
+        assert set(threads) == {"parent", "workers"}
+        assert meta["start_method"] in ("fork", "spawn", "forkserver")
+        assert len(threads["workers"]) == meta["cpu_count"]
+        for libs in threads["workers"].values():
+            assert set(libs) == set(threads["parent"])
+            assert all(n == 1 for n in libs.values())
+
     def test_fields_present_and_typed(self):
         meta = snapshot.host_metadata()
         assert meta["cpu_count"] >= 1

@@ -11,6 +11,8 @@ in this repo, so their coverage is the group-formation properties the
 process backend relies on).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.runtime import ProcessPool
 from repro.runtime.groups import (
     GroupFrontier,
     dispatch_arrays,
+    frontier_width,
     resolve_batch,
 )
 from repro.runtime.options import ExecOptions
@@ -162,6 +165,43 @@ class TestResolveBatch:
         crowd = resolve_batch("auto", 64, workers=8)
         assert solo > crowd
 
+    def test_auto_shares_the_frontier_among_workers(self):
+        idx = plan(16, 16, "greedy").index
+        width, mean_w = frontier_width(idx), float(idx.weights.mean())
+        sizes = {w: resolve_batch("auto", 64, mean_w, workers=w,
+                                  width=width) for w in (1, 2, 4)}
+        for w, size in sizes.items():
+            assert size <= math.ceil(width / w)
+        # two pinned workers get groups deep enough to amortize
+        # (8-task groups were measured ~50% slower than 28..128)
+        assert sizes[2] >= 28
+        assert sizes[1] > sizes[2] > sizes[4]
+
+    def test_auto_caps_large_tiles_at_amortization(self):
+        idx = plan(16, 16, "greedy").index
+        width, mean_w = frontier_width(idx), float(idx.weights.mean())
+        by_nb = [resolve_batch("auto", nb, mean_w, workers=1, width=width)
+                 for nb in (64, 128, 256, 512)]
+        assert by_nb == sorted(by_nb, reverse=True)
+        assert by_nb[-1] == 1
+
+    def test_auto_widens_cheap_groups_up_to_the_ready_set(self):
+        """Small tiles: an equal share of the frontier would leave the
+        descriptor's fixed cost dominating, so groups grow — but never
+        past what is ready."""
+        idx = plan(8, 8, "greedy").index
+        width, mean_w = frontier_width(idx), float(idx.weights.mean())
+        for nb in (16, 32):
+            for w in (1, 2, 8):
+                size = resolve_batch("auto", nb, mean_w, workers=w,
+                                     width=width)
+                assert size == math.ceil(width)
+
+    def test_frontier_width_weights_wide_levels(self):
+        idx = plan(16, 16, "greedy").index
+        widths = np.diff(idx.level_ptr)
+        assert widths.mean() < frontier_width(idx) <= widths.max()
+
     def test_exec_options_validation(self):
         assert ExecOptions(batch="auto").batch == "auto"
         assert ExecOptions(batch="off").batch == "off"
@@ -206,6 +246,19 @@ class TestBitExactEquivalence:
         f_f = factor(a, start_method="fork", **kw)
         f_s = factor(a, start_method="spawn", **kw)
         assert np.array_equal(f_f.r(), f_s.r())
+
+    @pytest.mark.parametrize("batch", ["auto", "off", 5])
+    def test_r_identical_across_worker_counts(self, rng, pool, batch):
+        """The worker count changes which ready tasks group together
+        and where each group runs; neither may change a bit of R on
+        the numpy path."""
+        a = random_matrix(rng, 96, 64, np.float64)
+        kw = dict(nb=NB, ib=4, mode="process", numeric="numpy",
+                  batch=batch)
+        with ProcessPool(workers=1, start_method="fork") as solo:
+            f1 = factor(a, pool=solo, **kw)
+        f2 = factor(a, pool=pool, **kw)
+        assert np.array_equal(f1.r(), f2.r())
 
     @pytest.mark.parametrize("scheme,family", [("greedy", "TT"),
                                                ("flat-tree", "TS")])

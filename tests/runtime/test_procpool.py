@@ -20,6 +20,7 @@ import pytest
 
 from repro.api import factor, plan
 from repro.runtime import ProcessPool, execute_graph, execute_process
+from repro.runtime.blas import blas_threads
 from repro.tiles import TiledMatrix
 from tests.conftest import random_matrix
 
@@ -125,6 +126,48 @@ class TestStartMethods:
     def test_unknown_start_method(self):
         with pytest.raises(ValueError, match="start method"):
             ProcessPool(workers=1, start_method="teleport")
+
+
+START_METHODS = [m for m in ("fork", "spawn", "forkserver")
+                 if m in mp.get_all_start_methods()]
+
+
+class TestBlasPin:
+    """One BLAS thread per worker, whatever the start method: a fork
+    child inherits the parent's OpenBLAS thread pool, so only the
+    worker's own ``set_num_threads`` call makes it single-threaded."""
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_every_worker_reports_one_thread(self, rng, method):
+        parent = blas_threads()
+        if not parent:
+            pytest.skip("no OpenBLAS build loaded in this process")
+        with ProcessPool(workers=2, start_method=method) as p:
+            assert p.blas_threads == {}
+            counts = p.start().blas_threads
+            assert blas_threads() == parent
+            assert set(counts) == {0, 1}
+            for libs in counts.values():
+                assert libs == dict.fromkeys(parent, 1)
+            # every run's ready ack re-reads the probe
+            a = random_matrix(rng, 32, 16, np.float64)
+            factor(a, nb=NB, ib=4, mode="process", pool=p)
+            assert p.blas_threads == counts
+        assert blas_threads() == parent
+        assert p.blas_threads == {}
+
+    def test_blas_threads_is_a_copy(self, pool):
+        pool.start()
+        pool.blas_threads[0]["injected"] = 99
+        assert "injected" not in pool.blas_threads[0]
+
+    def test_pin_skips_unloadable_libraries(self, monkeypatch):
+        from repro.runtime import blas
+
+        monkeypatch.setattr(blas, "openblas_libraries",
+                            lambda: ["/nonexistent/libopenblas.so"])
+        assert blas.pin_blas_threads(1) == {}
+        assert blas.blas_threads() == {}
 
 
 class TestPoolMechanics:
