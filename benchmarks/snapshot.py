@@ -224,7 +224,7 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
     from repro.obs import DistributedTracer
     from repro.obs.metrics import MetricsRegistry
     from repro.runtime import ProcessPool
-    from repro.runtime.groups import frontier_width, resolve_batch
+    from repro.runtime.groups import resolve_batch
 
     rng = np.random.default_rng(20110814)  # the paper's SC 2011 vintage
     a = rng.standard_normal((m, n))
@@ -251,9 +251,8 @@ def run_factor_case(scheme: str, family: str, m: int, n: int,
         gh = reg.histogram("procpool.batch.group_size")
         batch_ctx = {
             "mode": "auto",
-            "resolved_size": resolve_batch(
-                "auto", nb, float(pl.index.weights.mean()),
-                workers=workers, width=frontier_width(pl.index)),
+            "resolved_size": resolve_batch("auto", nb, pl.index,
+                                           workers=workers),
             "groups": gh.count,
             "descriptors": int(
                 reg.counter("procpool.batch.descriptors").value),
@@ -339,8 +338,9 @@ def host_metadata() -> dict:
     backend's start method and the effective OpenBLAS threads per
     build, ``blas_threads``: ``{"parent": {lib: n}, "workers": {widx:
     {lib: n}}}`` from a short-lived ``cpu_count`` pool.  Every probe is
-    guarded — a missing SciPy or an older NumPy without
-    ``show_config(mode=...)`` degrades to ``None``, never an error.
+    guarded — a missing SciPy, an older NumPy without
+    ``show_config(mode=...)`` or a pool that cannot start degrades to
+    ``None``, never an error.
     """
     import os
 
@@ -356,13 +356,16 @@ def host_metadata() -> dict:
         "scipy": None,
         "blas": None,
     }
-    with ProcessPool() as pool:
-        meta["start_method"] = pool.start_method
-        workers = pool.start().blas_threads
-        meta["blas_threads"] = {
-            "parent": blas_threads(),
-            "workers": {str(w): workers[w] for w in sorted(workers)},
-        }
+    meta["start_method"] = None
+    meta["blas_threads"] = {"parent": blas_threads(), "workers": None}
+    try:
+        with ProcessPool() as pool:
+            workers = pool.start().blas_threads
+            meta["start_method"] = pool.start_method
+        meta["blas_threads"]["workers"] = {
+            str(w): workers[w] for w in sorted(workers)}
+    except Exception:
+        pass  # workers could not start: no worker-side reading
     try:
         import scipy
 

@@ -461,12 +461,10 @@ def execute_graph(
     if batch == "off":
         batch_size = 1
     else:
-        from .groups import frontier_width, resolve_batch
-        gidx = graph.index()
-        batch_size = resolve_batch(
-            batch, tiled.nb,
-            float(gidx.weights.mean()) if gidx.n else 1.0,
-            workers=max(1, workers), width=frontier_width(gidx))
+        from .groups import _CLAIM_SECONDS, resolve_batch
+        batch_size = resolve_batch(batch, tiled.nb, graph.index(),
+                                   workers=max(1, workers),
+                                   descriptor_s=_CLAIM_SECONDS)
     stack_ok = ctx.backend.name == "reference"
     if metrics is not None:
         metrics.gauge("scheduler.batch.size", keep_samples=False).set(

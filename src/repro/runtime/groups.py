@@ -86,6 +86,12 @@ _UNIT_SECONDS_NB64 = 20e-6
 #: (wall - compute) / descriptors of 1024²/nb=64 at W=1, batch="off"
 _DESCRIPTOR_SECONDS = 120e-6
 
+#: measured fixed cost of one claim in the threaded executor — a lock
+#: round trip and heap pops, no message: two threads at 1024²/nb=64
+#: (lapack) ran ~23 ms slower with single-task claims than with 7-task
+#: claims, ~9.5 us per claim saved
+_CLAIM_SECONDS = 10e-6
+
 #: auto widens a group until the descriptor's fixed cost is at most
 #: the first share of the group's compute, and stops growing it once
 #: that cost is the second share — more only delays successor release
@@ -108,21 +114,26 @@ def frontier_width(index) -> float:
     return float((w * w).sum() / w.sum()) if w.size else 1.0
 
 
-def resolve_batch(batch, nb: int, mean_weight: float = 5.0,
-                  workers: int = 1, width: float | None = None) -> int:
+def resolve_batch(batch, nb: int, index=None, workers: int = 1,
+                  descriptor_s: float = _DESCRIPTOR_SECONDS) -> int:
     """Resolve a ``--batch`` setting to a concrete group size (>= 1).
 
     ``"off"`` (or 1) disables grouping; an int is used as-is.
     ``"auto"`` gives each worker an equal share of the ready set,
     ``ceil(width / workers)``, widened or narrowed by what one
-    descriptor costs:
+    descriptor costs.  Everything but ``nb``, ``workers`` and the
+    descriptor cost comes from the graph's ``index``
+    (:class:`~repro.dag.index.GraphIndex`):
 
     * ``width`` is the typical ready-set size (:func:`frontier_width`;
-      :data:`_AUTO_MAX` when unknown).  At 1024²/nb=64 it is 92.7, and
-      the measured mean ready set of a per-task run is 101–104.
-    * A descriptor costs ``c`` = :data:`_DESCRIPTOR_SECONDS` whatever
-      its size; a task ``t = mean_weight * _UNIT_SECONDS_NB64 *
-      (nb / 64)³``.  The share is raised to ``ceil(c / (0.05 t))``, so
+      :data:`_AUTO_MAX` without an index).  At 1024²/nb=64 it is 92.7,
+      and the measured mean ready set of a per-task run is 101–104.
+    * A descriptor costs ``c`` = ``descriptor_s`` whatever its size
+      (:data:`_DESCRIPTOR_SECONDS` for a process-pool message;
+      the threaded executor passes its own, much cheaper, claim cost);
+      a task ``t = w * _UNIT_SECONDS_NB64 * (nb / 64)³``, ``w`` the
+      mean Table-1 weight of the index's tasks (5 without an index).
+      The share is raised to ``ceil(c / (0.05 t))``, so
       ``c`` stays within 5% of the group's compute, and capped at
       ``ceil(c / (0.01 t))``: past 1% a bigger group saves nothing
       and holds back the successors of its first members (they retire
@@ -138,14 +149,25 @@ def resolve_batch(batch, nb: int, mean_weight: float = 5.0,
     0.114 s at 93–186; 1024²/nb=128 [13] 0.109 s at 7, 0.114 s at 14,
     0.120 s at 26, 0.154 s at 1.  W=1 takes the whole width (93 at
     1024²/nb=64, where it stops improving past ~64).
+
+    The threaded executor's claim (:data:`_CLAIM_SECONDS`) gives 9 at
+    1024²/nb=64 and 47 at 512²/nb=32 for two threads.  Its claims run
+    unstacked on the lapack backend, and one thread drains them in
+    order, so the message cost would over-size them.  Two threads on
+    2 CPUs, lapack, 10 alternating pairs against a 1 ms-per-group
+    target (7 and 56), median time ratios: 0.989 and 1.019 with the
+    message cost (47 and 93), 0.958 and 0.994 with the claim cost.
     """
     if batch == "off":
         return 1
     if batch == "auto":
+        mean_weight, width = 5.0, _AUTO_MAX
+        if index is not None and index.weights.size:
+            mean_weight = float(index.weights.mean())
+            width = frontier_width(index)
         task_s = max(mean_weight, 1.0) * _UNIT_SECONDS_NB64 * (nb / 64.0) ** 3
-        floor, cap = (math.ceil(_DESCRIPTOR_SECONDS / (share * task_s))
+        floor, cap = (math.ceil(descriptor_s / (share * task_s))
                       for share in _AUTO_OVERHEAD_SHARES)
-        width = _AUTO_MAX if width is None else width
         size = max(math.ceil(width / max(1, workers)), floor)
         return max(1, min(size, cap, math.ceil(width), _AUTO_MAX))
     size = int(batch)

@@ -72,7 +72,6 @@ from .groups import (
     broadcast_tfactor,
     dedup_hits,
     dispatch_arrays,
-    frontier_width,
     resolve_batch,
 )
 
@@ -576,16 +575,16 @@ class ProcessPool:
         from multiprocessing import resource_tracker
         resource_tracker.ensure_running()
         self._done_q = self._ctx.Queue()
-        # A spawn/forkserver child loads OpenBLAS afresh, and these
-        # variables make it load single-threaded: start-up is ~0.1 s
-        # shorter at W=2 without helper threads spinning through the
-        # imports.  A fork child inherits the parent's loaded library
-        # and ignores them.  Either way the worker's own pin is what
-        # makes it single-threaded.
-        env = {} if self.start_method == "fork" else {
-            k: os.environ.get(k) for k in _BLAS_ENV}
+        # The worker's own pin is what makes it single-threaded.  These
+        # variables only speed up spawn/forkserver start-up: a child
+        # that loads OpenBLAS afresh then loads it single-threaded, with
+        # no helper threads spinning through the imports (~0.1 s at
+        # W=2).  A fork child inherits the loaded library and ignores
+        # them.
+        saved = {k: os.environ.get(k) for k in _BLAS_ENV}
         try:
-            os.environ.update(dict.fromkeys(env, "1"))
+            for k in _BLAS_ENV:
+                os.environ[k] = "1"
             for widx in range(self.workers):
                 inq = self._ctx.Queue()
                 p = self._ctx.Process(
@@ -597,7 +596,7 @@ class ProcessPool:
                 self._inqs.append(inq)
                 self._procs.append(p)
         finally:
-            for k, v in env.items():
+            for k, v in saved.items():
                 if v is None:
                     os.environ.pop(k, None)
                 else:
@@ -787,10 +786,8 @@ class ProcessPool:
         prio = (np.asarray(plan_obj.bottom_levels(), dtype=np.float64)
                 if plan_obj is not None
                 and hasattr(plan_obj, "bottom_levels") else None)
-        mean_w = float(idx.weights.mean()) if idx.weights.size else 1.0
-        batch_size = resolve_batch(batch, tiled.nb, mean_w,
-                                   workers=self.workers,
-                                   width=frontier_width(idx))
+        batch_size = resolve_batch(batch, tiled.nb, idx,
+                                   workers=self.workers)
         if metrics is not None:
             metrics.gauge("procpool.batch.size", keep_samples=False).set(
                 batch_size)

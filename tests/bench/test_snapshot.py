@@ -187,8 +187,8 @@ class TestScalingGuard:
 
 
 class TestHostMetadata:
-    def test_blas_threads_recorded(self):
-        meta = snapshot.host_metadata()
+    def test_blas_threads_recorded(self, quick_snap):
+        meta = quick_snap["host"]
         threads = meta["blas_threads"]
         assert set(threads) == {"parent", "workers"}
         assert meta["start_method"] in ("fork", "spawn", "forkserver")
@@ -197,8 +197,20 @@ class TestHostMetadata:
             assert set(libs) == set(threads["parent"])
             assert all(n == 1 for n in libs.values())
 
-    def test_fields_present_and_typed(self):
+    def test_pool_failure_degrades_to_none(self, monkeypatch):
+        from repro.runtime import ProcessPool
+
+        def refuse(self):
+            raise OSError("no workers here")
+
+        monkeypatch.setattr(ProcessPool, "start", refuse)
         meta = snapshot.host_metadata()
+        assert meta["start_method"] is None
+        assert meta["blas_threads"]["workers"] is None
+        assert isinstance(meta["blas_threads"]["parent"], dict)
+
+    def test_fields_present_and_typed(self, quick_snap):
+        meta = quick_snap["host"]
         assert meta["cpu_count"] >= 1
         assert isinstance(meta["platform"], str) and meta["platform"]
         assert isinstance(meta["machine"], str)
@@ -207,8 +219,8 @@ class TestHostMetadata:
         # scipy/blas are best-effort probes: present keys, maybe None
         assert "scipy" in meta and "blas" in meta
 
-    def test_metadata_is_json_serializable(self):
-        json.dumps(snapshot.host_metadata())
+    def test_metadata_is_json_serializable(self, quick_snap):
+        json.dumps(quick_snap["host"])
 
     def test_snapshot_embeds_host(self, quick_snap):
         assert quick_snap["host"] == snapshot.host_metadata()

@@ -21,6 +21,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.problems import build_cholesky_dag, build_lu_dag
 from repro.runtime import ProcessPool
 from repro.runtime.groups import (
+    _CLAIM_SECONDS,
     GroupFrontier,
     dispatch_arrays,
     frontier_width,
@@ -167,9 +168,9 @@ class TestResolveBatch:
 
     def test_auto_shares_the_frontier_among_workers(self):
         idx = plan(16, 16, "greedy").index
-        width, mean_w = frontier_width(idx), float(idx.weights.mean())
-        sizes = {w: resolve_batch("auto", 64, mean_w, workers=w,
-                                  width=width) for w in (1, 2, 4)}
+        width = frontier_width(idx)
+        sizes = {w: resolve_batch("auto", 64, idx, workers=w)
+                 for w in (1, 2, 4)}
         for w, size in sizes.items():
             assert size <= math.ceil(width / w)
         # two pinned workers get groups deep enough to amortize
@@ -179,23 +180,33 @@ class TestResolveBatch:
 
     def test_auto_caps_large_tiles_at_amortization(self):
         idx = plan(16, 16, "greedy").index
-        width, mean_w = frontier_width(idx), float(idx.weights.mean())
-        by_nb = [resolve_batch("auto", nb, mean_w, workers=1, width=width)
+        by_nb = [resolve_batch("auto", nb, idx, workers=1)
                  for nb in (64, 128, 256, 512)]
         assert by_nb == sorted(by_nb, reverse=True)
         assert by_nb[-1] == 1
+
+    def test_cheaper_descriptors_cap_groups_sooner(self):
+        """The threaded executor's claim costs a lock round trip, not
+        a queue message, so at equal tiles its groups stop growing
+        much earlier than the process pool's."""
+        idx = plan(16, 16, "greedy").index
+        for nb in (32, 64):
+            claim = resolve_batch("auto", nb, idx, workers=2,
+                                  descriptor_s=_CLAIM_SECONDS)
+            message = resolve_batch("auto", nb, idx, workers=2)
+            assert 1 < claim <= message
+        assert resolve_batch("auto", 64, idx, workers=2,
+                             descriptor_s=_CLAIM_SECONDS) < 16
 
     def test_auto_widens_cheap_groups_up_to_the_ready_set(self):
         """Small tiles: an equal share of the frontier would leave the
         descriptor's fixed cost dominating, so groups grow — but never
         past what is ready."""
         idx = plan(8, 8, "greedy").index
-        width, mean_w = frontier_width(idx), float(idx.weights.mean())
         for nb in (16, 32):
             for w in (1, 2, 8):
-                size = resolve_batch("auto", nb, mean_w, workers=w,
-                                     width=width)
-                assert size == math.ceil(width)
+                size = resolve_batch("auto", nb, idx, workers=w)
+                assert size == math.ceil(frontier_width(idx))
 
     def test_frontier_width_weights_wide_levels(self):
         idx = plan(16, 16, "greedy").index
