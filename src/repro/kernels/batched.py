@@ -84,8 +84,7 @@ class BatchedTFactor:
         The slices are views into the stacked blocks (no copies), and
         the leading ``k`` columns of a zero-padded factorization are
         identical to the unpadded one, so the result is directly usable
-        by the per-tile apply kernels (``unmqr``/``tsmqr``/``ttmqr``),
-        e.g. when replaying ``Q`` via ``ExecutionContext.apply_q``.
+        by the per-tile apply kernels (``unmqr``/``tsmqr``/``ttmqr``).
         """
         t = TFactor(ib=self.ib)
         for j0, jb in panel_starts(k, self.ib):

@@ -25,10 +25,12 @@ backend to rounding (``~1e-12 * ||A||`` for the reconstructed
 ``Q @ R``); bitwise identity is *not* guaranteed because batched
 reductions may associate differently.
 
-The returned :class:`~repro.runtime.executor.ExecutionContext` carries
-per-task ``T`` factors (views into the batch stacks, sliced to each
-tile's valid shape), so ``apply_q`` / ``apply_q_right`` replay ``Q``
-exactly as for the task executors.
+Each factor group files its ``T`` blocks into one slot-indexed T store
+(:func:`repro.runtime.groups.tstore_shape`, addressed by
+``DispatchArrays.fslot``), which the apply groups read by source slot.
+The returned :class:`~repro.runtime.executor.ExecutionContext` keeps
+that store, and ``apply_q`` / ``apply_q_right`` replay ``Q`` from it
+one factor group at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ import numpy as np
 from ..dag.tasks import KERNEL_CODES, TaskGraph
 from ..kernels.backend import get_backend
 from ..kernels.batched import (
-    BatchedTFactor,
     factor_stacked_batched,
     factor_stacked_lapack_pool,
     geqrt_batched,
@@ -54,7 +55,14 @@ from ..obs.metrics import MetricsRegistry
 from ..tiles.layout import TiledMatrix
 from ..tiles.pool import TilePool
 from .executor import ExecutionContext, _clamp_ib
-from .groups import apply_group_pool, broadcast_tfactor, v_runs
+from .groups import (
+    DispatchArrays,
+    apply_group_pool,
+    dispatch_arrays,
+    store_tfactors,
+    stored_tfactor,
+    tstore_shape,
+)
 
 __all__ = ["KernelGroup", "level_kernel_groups", "execute_batched"]
 
@@ -145,50 +153,14 @@ class _GroupTask:
         return self._label
 
 
-def _record_tfactors(bt: BatchedTFactor, grp: KernelGroup,
-                     tiled: TiledMatrix, tf: dict, pad_t: dict,
-                     kind: str) -> None:
-    """File a factor group's T blocks under both views.
-
-    ``pad_t`` keeps the full padded per-panel blocks (uniform shapes —
-    what later batched applies stack); ``tf`` gets the per-task
-    :class:`~repro.kernels.geqrt.TFactor` sliced to the tile's valid
-    reflector count, for ``apply_q`` replay through the per-tile
-    kernels.
-    """
-    npanels = len(bt.blocks)
-    for b, tid in enumerate(grp.tids.tolist()):
-        row, col = int(grp.rows[b]), int(grp.cols[b])
-        key = (row, col, kind)
-        pad_t[key] = [bt.blocks[pi][b] for pi in range(npanels)]
-        if kind == "ge":
-            k = min(tiled.row_height(row), tiled.col_width(col))
-        else:  # stacked kernels: one reflector per (valid) column
-            k = tiled.col_width(col)
-        tf[key] = bt.task_tfactor(b, k)
-
-
-def _tile_tfactor(pad_t: dict, key: tuple, ib: int) -> BatchedTFactor:
-    """Broadcastable (batch-of-one) T factor of a single factored tile.
-
-    The apply kernels broadcast it across however many C tiles the
-    source tile updates, so no per-task T stacking is needed.
-    """
-    return broadcast_tfactor(pad_t[key], ib)
-
-
-#: re-export: the run decomposition moved to :mod:`repro.runtime.groups`
-#: so the process backend's micro-batches reuse it (S24)
-_v_runs = v_runs
-
-
-def _run_group(grp: KernelGroup, pool: TilePool, tiled: TiledMatrix,
-               tf: dict, pad_t: dict, ib: int,
-               use_lapack: bool = False) -> None:
+def _run_group(grp: KernelGroup, pool: TilePool, tstore: np.ndarray,
+               da: DispatchArrays, ib: int, use_lapack: bool = False) -> None:
     """Execute one (level, kernel) group against the pool.
 
-    With ``use_lapack`` the three factor kernels run as per-slice
-    LAPACK calls (same results to rounding — see
+    Factor groups file their T blocks into ``tstore`` under the tasks'
+    ``da.fslot``; apply groups read them back by ``da.src``.  With
+    ``use_lapack`` the three factor kernels run as per-slice LAPACK
+    calls (same results to rounding — see
     :mod:`repro.kernels.batched`); the update kernels always use the
     stacked NumPy path, which is already BLAS-bound.
     """
@@ -201,16 +173,8 @@ def _run_group(grp: KernelGroup, pool: TilePool, tiled: TiledMatrix,
             a = pool.take(slots)
             bt = geqrt_batched(a, ib)
             pool.put(slots, a)
-        _record_tfactors(bt, grp, tiled, tf, pad_t, "ge")
-    elif kern is Kernel.UNMQR:
-        vslots = pool.slot(grp.rows, grp.cols)
-        apply_group_pool(
-            pool.stack, KERNEL_CODES.index(kern), vslots, None,
-            pool.slot(grp.rows, grp.js),
-            lambda b: _tile_tfactor(
-                pad_t, (int(grp.rows[b]), int(grp.cols[b]), "ge"), ib))
+        store_tfactors(tstore, da.fslot[grp.tids], bt)
     elif kern in (Kernel.TSQRT, Kernel.TTQRT):
-        kind = "ts" if kern is Kernel.TSQRT else "tt"
         support = ts_support if kern is Kernel.TSQRT else tt_support
         rslots = pool.slot(grp.pivs, grp.cols)
         bslots = pool.slot(grp.rows, grp.cols)
@@ -224,15 +188,15 @@ def _run_group(grp: KernelGroup, pool: TilePool, tiled: TiledMatrix,
             bt = factor_stacked_batched(r, b, ib, support)
             pool.put(rslots, r)
             pool.put(bslots, b)
-        _record_tfactors(bt, grp, tiled, tf, pad_t, kind)
-    elif kern in (Kernel.TSMQR, Kernel.TTMQR):
-        kind = "ts" if kern is Kernel.TSMQR else "tt"
-        vslots = pool.slot(grp.rows, grp.cols)
+        store_tfactors(tstore, da.fslot[grp.tids], bt)
+    elif kern in (Kernel.UNMQR, Kernel.TSMQR, Kernel.TTMQR):
+        srcs = da.src[grp.tids]
         apply_group_pool(
-            pool.stack, KERNEL_CODES.index(kern), vslots,
-            pool.slot(grp.pivs, grp.js), pool.slot(grp.rows, grp.js),
-            lambda b: _tile_tfactor(
-                pad_t, (int(grp.rows[b]), int(grp.cols[b]), kind), ib))
+            pool.stack, _KERNEL_TO_CODE[kern], pool.slot(grp.rows, grp.cols),
+            None if kern is Kernel.UNMQR else pool.slot(grp.pivs, grp.js),
+            pool.slot(grp.rows, grp.js),
+            lambda b: stored_tfactor(tstore, slice(srcs[b], srcs[b] + 1),
+                                     pool.nb))
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown kernel {kern}")
 
@@ -297,9 +261,6 @@ def execute_batched(
     if metrics is None and collect_metrics:
         metrics = MetricsRegistry()
     ib = _clamp_ib(ib, tiled.nb, metrics)
-    ctx = ExecutionContext(tiled=tiled, graph=g,
-                           backend=get_backend("reference"), ib=ib,
-                           tracer=tracer, metrics=metrics)
     observed = tracer is not None or metrics is not None
     timed = observed or bus is not None
     ntasks = len(g.tasks)
@@ -309,16 +270,20 @@ def execute_batched(
         metrics.counter(
             "batched.numeric." + ("lapack" if use_lapack else "numpy")).inc()
     if ntasks == 0:
-        return ctx
+        return ExecutionContext(tiled=tiled, graph=g,
+                                backend=get_backend("reference"), ib=ib,
+                                tracer=tracer, metrics=metrics)
 
     if plan_obj is not None and hasattr(plan_obj, "level_groups"):
         groups = plan_obj.level_groups()
+        da = plan_obj.dispatch_arrays()
     else:
         groups = level_kernel_groups(g)
+        da = dispatch_arrays(g)
 
     pool = TilePool(tiled)
-    tf = ctx.tfactors
-    pad_t: dict[tuple[int, int, str], list[np.ndarray]] = {}
+    tstore = np.zeros(tstore_shape(da.nfactor, tiled.nb, ib),
+                      dtype=tiled.array.dtype)
     done_count = 0
     if bus is not None:
         bus.publish("run_start", total=ntasks, count=1,
@@ -333,7 +298,7 @@ def execute_batched(
                         level=grp.level, count=len(grp), worker=0)
         if timed:
             t0 = time.perf_counter()
-        _run_group(grp, pool, tiled, tf, pad_t, ib, use_lapack)
+        _run_group(grp, pool, tstore, da, ib, use_lapack)
         if timed:
             t1 = time.perf_counter()
         if bus is not None:
@@ -363,4 +328,7 @@ def execute_batched(
     pool.scatter()
     if bus is not None:
         bus.publish("run_done", count=done_count, value=bus.now())
-    return ctx
+    return ExecutionContext(tiled=tiled, graph=g,
+                            backend=get_backend("reference"), ib=ib,
+                            tracer=tracer, metrics=metrics, tstore=tstore,
+                            plan=plan_obj)

@@ -25,8 +25,8 @@ factorizations; see that module and docs/performance.md).
 The executor owns the side table of ``T`` factors produced by the
 factor kernels and consumed by the update kernels; it is returned as an
 :class:`ExecutionContext` so the Q factor can later be applied to
-arbitrary right-hand sides by replaying the panel tasks
-(:meth:`ExecutionContext.apply_q`).
+arbitrary right-hand sides by replaying the factor groups of the level
+grouping (:meth:`ExecutionContext.apply_q`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -78,6 +77,8 @@ _KIND = {
     Kernel.TTQRT: "tt", Kernel.TTMQR: "tt",
 }
 
+_FACTOR_KERNELS = (Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT)
+
 #: update kernels eligible for *stacked* execution when the threaded
 #: scheduler claims a micro-batch (factor kernels batch too, but run
 #: per-task inside the claim — stacked factor reductions associate
@@ -116,7 +117,9 @@ def _run_apply_group(ctx: "ExecutionContext", tasks_: list[Task]) -> bool:
     tf = ctx.tfactors
     vkeys = np.fromiter((t.row * tiled.q + t.col for t in tasks_),
                         dtype=np.int64, count=len(tasks_))
-    order, bounds = v_runs(vkeys)
+    ckeys = np.fromiter((t.row * tiled.q + t.j for t in tasks_),
+                        dtype=np.int64, count=len(tasks_))
+    order, bounds = v_runs(vkeys, ckeys)
     ordered = [tasks_[int(i)] for i in order]
     if kern is Kernel.UNMQR:
         c = np.stack([tiled.tile(t.row, t.j) for t in ordered])
@@ -144,22 +147,130 @@ def _run_apply_group(ctx: "ExecutionContext", tasks_: list[Task]) -> bool:
     return True
 
 
-@dataclass
 class ExecutionContext:
     """State of an executed factorization: tiles, T factors, task order.
 
+    The ``T`` factors live in one slot-indexed T store
+    (:func:`repro.runtime.groups.tstore_shape`, slot
+    ``DispatchArrays.fslot`` of each factor task), which
+    :meth:`apply_q` reads.  The batched and process backends hand the
+    store over directly; the task executors fill :attr:`tfactors`
+    and the store is built from it on first use.  :attr:`tfactors`
+    is the per-task view keyed ``(row, col, kind)``, sliced to each
+    tile's valid reflectors; a context created from a store builds it
+    only when it is read.
+
     When the run was observed, :attr:`tracer` holds the span capture
     and :attr:`metrics` the registry the executor wrote into; both are
-    ``None`` for unobserved runs.
+    ``None`` for unobserved runs.  ``plan`` (optional) is the
+    :class:`~repro.planner.Plan` of ``graph``, whose memoized level
+    groups and dispatch arrays the replay reuses.
     """
 
-    tiled: TiledMatrix
-    graph: TaskGraph
-    backend: KernelBackend
-    ib: int
-    tfactors: dict[tuple[int, int, str], Any] = field(default_factory=dict)
-    tracer: Optional[Tracer] = None
-    metrics: Optional[MetricsRegistry] = None
+    def __init__(self, tiled: TiledMatrix, graph: TaskGraph,
+                 backend: KernelBackend, ib: int,
+                 tfactors: Optional[dict] = None,
+                 tracer: Optional[Tracer] = None,
+                 metrics: Optional[MetricsRegistry] = None,
+                 tstore: Optional[np.ndarray] = None, plan=None):
+        self.tiled = tiled
+        self.graph = graph
+        self.backend = backend
+        self.ib = ib
+        self.tracer = tracer
+        self.metrics = metrics
+        if tfactors is None and tstore is None:
+            tfactors = {}
+        self._tfactors = tfactors
+        self._tstore = tstore
+        self._plan = plan
+
+    # ------------------------------------------------------------------
+    @property
+    def tfactors(self) -> dict[tuple[int, int, str], Any]:
+        """Per-task T factors keyed ``(row, col, kind)``.
+
+        :class:`~repro.kernels.geqrt.TFactor` on the reference backend,
+        :class:`~repro.kernels.lapack.LapackT` on the LAPACK backend —
+        what the per-tile kernels of :attr:`backend` consume.
+        """
+        if self._tfactors is None:
+            self._tfactors = self._tfactors_from_store()
+        return self._tfactors
+
+    @property
+    def tstore(self) -> np.ndarray:
+        """The ``(nfactor, npanels, ib, ib)`` T store (built on first use)."""
+        if self._tstore is None:
+            self._tstore = self._store_from_tfactors()
+        return self._tstore
+
+    def _planned(self):
+        """A plan of :attr:`graph` memoizing the level groups and
+        dispatch arrays the store and the replay index."""
+        if not (hasattr(self._plan, "level_groups")
+                and hasattr(self._plan, "dispatch_arrays")):
+            from ..planner import Plan
+            self._plan = Plan(self.tiled.p, self.tiled.q, None, None, None,
+                              self.graph)
+        return self._plan
+
+    def _factor_tasks(self):
+        """``(slot, row, col, kind, k)`` of every factor task, with ``k``
+        the tile's valid reflector count."""
+        da = self._planned().dispatch_arrays()
+        tiled = self.tiled
+        for tid in np.flatnonzero(da.fslot >= 0).tolist():
+            row, col = int(da.rows[tid]), int(da.cols[tid])
+            kind = _KIND[self.graph.tasks[tid].kernel]
+            if kind == "ge":
+                k = min(tiled.row_height(row), tiled.col_width(col))
+            else:  # stacked kernels: one reflector per (valid) column
+                k = tiled.col_width(col)
+            yield int(da.fslot[tid]), row, col, kind, k
+
+    def _store_from_tfactors(self) -> np.ndarray:
+        from ..kernels.geqrt import panel_starts
+        from ..kernels.lapack import LapackT
+        from .groups import tstore_shape
+        tiled, tf = self.tiled, self._tfactors
+        da = self._planned().dispatch_arrays()
+        store = np.zeros(tstore_shape(da.nfactor, tiled.nb, self.ib),
+                         dtype=tiled.array.dtype)
+        for s, row, col, kind, _ in self._factor_tasks():
+            t = tf[(row, col, kind)]
+            if isinstance(t, LapackT):
+                blocks = [t.t[:jb, j0:j0 + jb]
+                          for j0, jb in panel_starts(t.t.shape[1], t.ib)]
+            else:
+                blocks = t.blocks
+            for pi, blk in enumerate(blocks):
+                store[s, pi, :blk.shape[0], :blk.shape[1]] = blk
+        return store
+
+    def _tfactors_from_store(self) -> dict:
+        from ..kernels.geqrt import TFactor, panel_starts
+        from ..kernels.lapack import LapackT
+        store, ib = self._tstore, self.ib
+        lapack = self.backend.name == "lapack"
+        tf: dict = {}
+        for s, row, col, kind, k in self._factor_tasks():
+            if lapack:
+                # reflectors past k have tau = 0: the leading
+                # (min(ib, k), k) corner is the T of the valid ones
+                ibk = max(1, min(ib, k))
+                t = np.zeros((ibk, k), dtype=store.dtype)
+                for pi, (j0, jb) in enumerate(panel_starts(k, ibk)):
+                    t[:jb, j0:j0 + jb] = store[s, pi, :jb, :jb]
+                l = (min(self.tiled.row_height(row), self.tiled.col_width(col))
+                     if kind == "tt" else 0)
+                tf[(row, col, kind)] = LapackT(t, ibk, l)
+            else:
+                tf[(row, col, kind)] = TFactor(
+                    blocks=[store[s, pi, :jb, :jb]
+                            for pi, (_, jb) in enumerate(panel_starts(k, ib))],
+                    ib=ib)
+        return tf
 
     # ------------------------------------------------------------------
     def run_task(self, t: Task) -> None:
@@ -190,66 +301,77 @@ class ExecutionContext:
         """Apply ``Q`` (or ``Q^H``) of the factorization to ``c`` from
         the right, in place.
 
-        ``c`` must have ``m`` columns.  ``C @ Q`` replays the panel
-        tasks in emission order (``Q = Q_1 Q_2 ...``), ``C @ Q^H`` in
-        reverse with adjoints.
+        ``c`` must have ``m`` columns.  ``C op(Q) = (op(Q)^H C^H)^H``,
+        so this is :meth:`apply_q` on the conjugate transpose.
         """
         if c.shape[1] != self.tiled.m:
             raise ValueError(
                 f"c has {c.shape[1]} columns, factorization has {self.tiled.m}")
-        nb = self.tiled.nb
-        bk, tiles, tf = self.backend, self.tiled, self.tfactors
-
-        def block(i: int) -> np.ndarray:
-            return c[:, i * nb : min((i + 1) * nb, self.tiled.m)]
-
-        panel_tasks = [t for t in self.graph.tasks
-                       if t.kernel in (Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT)]
-        order = reversed(panel_tasks) if adjoint else panel_tasks
-        for t in order:
-            if t.kernel is Kernel.GEQRT:
-                bk.unmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ge")],
-                         block(t.row), adjoint=adjoint, side="R")
-            elif t.kernel is Kernel.TSQRT:
-                bk.tsmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ts")],
-                         block(t.piv), block(t.row), adjoint=adjoint, side="R")
-            else:
-                bk.ttmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "tt")],
-                         block(t.piv), block(t.row), adjoint=adjoint, side="R")
+        ch = np.ascontiguousarray(c.conj().T)
+        self.apply_q(ch, adjoint=not adjoint)
+        c[...] = ch.conj().T
         return c
 
     def apply_q(self, c: np.ndarray, adjoint: bool = True) -> np.ndarray:
         """Apply ``Q`` or ``Q^H`` of the factorization to ``c`` in place.
 
         ``c`` must have ``m`` rows (padded rows included if the
-        factorization padded).  The panel tasks are replayed in
-        emission order for ``Q^H`` (the factorization direction) and in
-        reverse order with un-adjointed reflectors for ``Q``; any
-        linearization of the DAG yields the same product because
-        concurrent transformations touch disjoint row blocks.
+        factorization padded).  The factor groups of the level
+        grouping are replayed as stacked applies — in level order for
+        ``Q^H`` (the factorization direction), in reverse with
+        un-adjointed reflectors for ``Q``.  Any linearization of the
+        DAG yields the same product, because transformations touching
+        a common row block are DAG-ordered, so same-level tasks act on
+        disjoint row blocks.  Each group gathers its V tiles and its
+        ``T`` from the store by slot and updates ``c`` viewed as
+        ``(p, nb, k)`` row blocks; ragged edges are zero-padded, which
+        is exact.
         """
-        if c.shape[0] != self.tiled.m:
+        from ..kernels.batched import apply_stacked_batched, unmqr_batched
+        from ..kernels.stacked import ts_support, tt_support
+        from .groups import stored_tfactor
+
+        tiled = self.tiled
+        if c.shape[0] != tiled.m:
             raise ValueError(
-                f"c has {c.shape[0]} rows, factorization has {self.tiled.m}")
-        nb = self.tiled.nb
-        bk, tiles, tf = self.backend, self.tiled, self.tfactors
-
-        def block(i: int) -> np.ndarray:
-            return c[i * nb : min((i + 1) * nb, self.tiled.m), :]
-
-        panel_tasks = [t for t in self.graph.tasks
-                       if t.kernel in (Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT)]
-        order = panel_tasks if adjoint else reversed(panel_tasks)
-        for t in order:
-            if t.kernel is Kernel.GEQRT:
-                bk.unmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ge")],
-                         block(t.row), adjoint=adjoint)
-            elif t.kernel is Kernel.TSQRT:
-                bk.tsmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "ts")],
-                         block(t.piv), block(t.row), adjoint=adjoint)
+                f"c has {c.shape[0]} rows, factorization has {tiled.m}")
+        nb, p, q = tiled.nb, tiled.p, tiled.q
+        c2 = c.reshape(c.shape[0], -1)
+        k = c2.shape[1]
+        padded = p * nb != tiled.m or not c2.flags.c_contiguous
+        if padded:
+            buf = np.zeros((p * nb, k), dtype=c.dtype)
+            buf[: tiled.m] = c2
+        else:
+            buf = c2
+        cb = buf.reshape(p, nb, k)
+        a = tiled.array
+        if a.shape != (p * nb, q * nb) or not a.flags.c_contiguous:
+            a = np.zeros((p * nb, q * nb), dtype=a.dtype)
+            a[: tiled.m, : tiled.n] = tiled.array
+        vt = a.reshape(p, nb, q, nb)
+        store = self.tstore
+        plan = self._planned()
+        fslot = plan.dispatch_arrays().fslot
+        groups = [g for g in plan.level_groups()
+                  if g.kernel in _FACTOR_KERNELS]
+        for g in (groups if adjoint else reversed(groups)):
+            rows, pivs, kern = g.rows, g.pivs, g.kernel
+            v = vt[rows, :, g.cols, :]
+            t = stored_tfactor(store, fslot[g.tids], nb)
+            bot = cb[rows]
+            if kern is Kernel.GEQRT:
+                unmqr_batched(v, t, bot, adjoint=adjoint)
             else:
-                bk.ttmqr(tiles.tile(t.row, t.col), tf[(t.row, t.col, "tt")],
-                         block(t.piv), block(t.row), adjoint=adjoint)
+                top = cb[pivs]
+                tt = kern is Kernel.TTQRT
+                apply_stacked_batched(v, t, top, bot,
+                                      tt_support if tt else ts_support,
+                                      adjoint=adjoint, mask=tt)
+                cb[pivs] = top
+            cb[rows] = bot
+        if padded:
+            c2[...] = buf[: tiled.m]
         return c
 
 
@@ -407,7 +529,7 @@ def execute_graph(
     ib = _clamp_ib(ib, tiled.nb, metrics)
     ctx = ExecutionContext(tiled=tiled, graph=graph,
                            backend=get_backend(backend), ib=ib,
-                           tracer=tracer, metrics=metrics)
+                           tracer=tracer, metrics=metrics, plan=plan_obj)
     observed = tracer is not None or metrics is not None
     timed = observed or bus is not None
     if metrics is not None:

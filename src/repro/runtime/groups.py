@@ -52,15 +52,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dag.tasks import KERNEL_CODES, TaskGraph
-from ..kernels.batched import BatchedTFactor, apply_stacked_batched, \
-    unmqr_batched
+from ..kernels.batched import (
+    BatchedTFactor,
+    _panels,
+    apply_stacked_batched,
+    unmqr_batched,
+)
 from ..kernels.costs import Kernel
 from ..kernels.stacked import ts_support, tt_support
 
 __all__ = [
     "APPLY_CODES", "FACTOR_CODES", "DispatchArrays", "GroupFrontier",
     "apply_group_pool", "dispatch_arrays", "frontier_width",
-    "resolve_batch", "v_runs",
+    "resolve_batch", "store_tfactors", "stored_tfactor", "tstore_shape",
+    "v_runs",
 ]
 
 _KERNEL_TO_CODE = {k: c for c, k in enumerate(KERNEL_CODES)}
@@ -365,16 +370,18 @@ class GroupFrontier:
 # stacked group execution over pool slots
 # ----------------------------------------------------------------------
 
-def v_runs(vslots: np.ndarray):
+def v_runs(vslots: np.ndarray, cslots: np.ndarray):
     """Sort an apply group by source-tile slot and yield the runs.
 
     Returns ``(order, bounds)``: ``order`` permutes the group's tasks
-    so that tasks sharing one V tile are contiguous, and
-    ``bounds[i]:bounds[i+1]`` delimits run ``i``.  Each run's applies
-    then execute as one broadcast batched operation — the V tile and
-    its T blocks are processed once instead of once per task.
+    so that tasks sharing one V tile are contiguous, each run sorted
+    by its updated tile's slot ``cslots``, and ``bounds[i]:bounds[i+1]``
+    delimits run ``i``.  Each run's applies then execute as one
+    broadcast batched operation — the V tile and its T blocks are
+    processed once instead of once per task — and a run over one tile
+    row lands in ascending, typically consecutive, slots.
     """
-    order = np.argsort(vslots, kind="stable")
+    order = np.lexsort((cslots, vslots))
     sv = vslots[order]
     bounds = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1], True])
     return order, bounds
@@ -384,6 +391,12 @@ def dedup_hits(srcs) -> int:
     """Source-tile loads an apply group saves by sharing V/T runs."""
     a = np.asarray(srcs)
     return int(a.size - np.unique(a).size)
+
+
+def _consecutive(slots: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Which runs of a sorted group cover consecutive slots ``s0..s0+r``."""
+    cum = np.r_[0, np.cumsum(np.diff(slots) != 1)]
+    return cum[bounds[1:] - 1] == cum[bounds[:-1]]
 
 
 def apply_group_pool(stack: np.ndarray, code: int, vslots: np.ndarray,
@@ -398,30 +411,40 @@ def apply_group_pool(stack: np.ndarray, code: int, vslots: np.ndarray,
     (``c_bot``), ``top_slots`` the pivot-row tile for the TS/TT
     kernels (``None`` for UNMQR).  ``tfactor_of(i)`` returns the
     broadcastable batch-of-one :class:`BatchedTFactor` of task ``i``
-    (pre-sort index).  Gather and scatter are single fancy-indexing
-    copies; every run is one broadcast stacked apply.
+    (pre-sort index).  Every run is one broadcast stacked apply.  A
+    run whose C slots (and pivot-row slots) are consecutive — one
+    tile row, columns ``j..j+r`` — is applied directly on the
+    ``stack[s0:s0+r]`` views; only the remaining runs are gathered
+    into one contiguous copy and scattered back.
     """
-    order, bounds = v_runs(vslots)
-    if code == _UNMQR:
-        cslots = bot_slots[order]
-        c = stack[cslots]
-        for u0, u1 in zip(bounds[:-1], bounds[1:]):
-            b = int(order[u0])
-            unmqr_batched(stack[vslots[b]][None], tfactor_of(b), c[u0:u1])
-        stack[cslots] = c
-        return
-    support = tt_support if code == _TTMQR else ts_support
-    ct = top_slots[order]
-    cb = bot_slots[order]
-    c_top = stack[ct]
-    c_bot = stack[cb]
-    for u0, u1 in zip(bounds[:-1], bounds[1:]):
+    order, bounds = v_runs(vslots, bot_slots)
+    slots = ([bot_slots[order]] if code == _UNMQR
+             else [top_slots[order], bot_slots[order]])
+    inplace = np.logical_and.reduce([_consecutive(s, bounds) for s in slots])
+    sizes = np.diff(bounds)
+    moved = np.flatnonzero(np.repeat(~inplace, sizes))
+    bufs = [stack[s[moved]] for s in slots] if moved.size else []
+    # each gathered run's offset into the copies
+    offs = np.r_[0, np.cumsum(np.where(inplace, 0, sizes))]
+    mask = code == _TTMQR
+    support = tt_support if mask else ts_support
+    bl, offs = bounds.tolist(), offs.tolist()
+    for r, flat in enumerate(inplace.tolist()):
+        u0, u1 = bl[r], bl[r + 1]
+        if flat:
+            cs = [stack[s[u0]:s[u0] + u1 - u0] for s in slots]
+        else:
+            cs = [buf[offs[r]:offs[r + 1]] for buf in bufs]
         b = int(order[u0])
-        apply_stacked_batched(stack[vslots[b]][None], tfactor_of(b),
-                              c_top[u0:u1], c_bot[u0:u1], support,
-                              mask=code == _TTMQR)
-    stack[ct] = c_top
-    stack[cb] = c_bot
+        v = stack[vslots[b]][None]
+        if code == _UNMQR:
+            unmqr_batched(v, tfactor_of(b), cs[0])
+        else:
+            apply_stacked_batched(v, tfactor_of(b), cs[0], cs[1], support,
+                                  mask=mask)
+    if moved.size:
+        for s, buf in zip(slots, bufs):
+            stack[s[moved]] = buf
 
 
 def broadcast_tfactor(blocks, ib: int) -> BatchedTFactor:
@@ -433,4 +456,42 @@ def broadcast_tfactor(blocks, ib: int) -> BatchedTFactor:
     """
     bt = BatchedTFactor(ib=ib)
     bt.blocks = [blk[None] for blk in blocks]
+    return bt
+
+
+# ----------------------------------------------------------------------
+# the slot-indexed T store
+# ----------------------------------------------------------------------
+
+def tstore_shape(nfactor: int, nb: int, ib: int) -> tuple[int, ...]:
+    """Shape of the T store of ``nfactor`` factor tasks on ``nb`` tiles.
+
+    One ``(npanels, ib, ib)`` panel stack per factor task (slot
+    ``DispatchArrays.fslot``); panel ``pi`` of width ``jb`` occupies
+    ``[pi, :jb, :jb]``.  Tiles are zero-padded to ``nb x nb``, so every
+    slot holds the full panel count and entries outside a factor's
+    valid reflectors are zero (identity reflectors).
+    """
+    return (max(1, nfactor), len(_panels(nb, ib)), ib, ib)
+
+
+def store_tfactors(tstore: np.ndarray, fslots: np.ndarray,
+                   bt: BatchedTFactor) -> None:
+    """File a factor group's T blocks under the tasks' store slots."""
+    for pi, blk in enumerate(bt.blocks):
+        jb = blk.shape[-1]
+        tstore[fslots, pi, :jb, :jb] = blk
+
+
+def stored_tfactor(tstore: np.ndarray, slots, nb: int) -> BatchedTFactor:
+    """Stacked T factor of the store ``slots`` on ``nb``-wide tiles.
+
+    An index array gathers one ``(len(slots), jb, jb)`` stack per
+    panel (one copy); a slice ``s:s + 1`` gives the broadcastable
+    batch-of-one factor of slot ``s`` as views.
+    """
+    t = tstore[slots]
+    bt = BatchedTFactor(ib=t.shape[2])
+    bt.blocks = [t[:, pi, :jb, :jb]
+                 for pi, (_, jb) in enumerate(_panels(nb, t.shape[2]))]
     return bt

@@ -64,7 +64,7 @@ from ..obs.tracer import DistributedTracer, estimate_clock_sync
 from ..tiles.layout import TiledMatrix
 from ..tiles.shared_pool import SharedArray, SharedTilePool
 from .blas import blas_threads, openblas_builds, pin_blas_threads
-from .executor import ExecutionContext, _KIND, _clamp_ib
+from .executor import ExecutionContext, _clamp_ib
 from .groups import (
     FACTOR_CODES,
     GroupFrontier,
@@ -73,6 +73,8 @@ from .groups import (
     dedup_hits,
     dispatch_arrays,
     resolve_batch,
+    stored_tfactor,
+    tstore_shape,
 )
 
 __all__ = ["ProcessPool", "execute_process"]
@@ -83,7 +85,6 @@ _GEQRT, _UNMQR, _TSQRT, _TSMQR, _TTQRT, _TTMQR = (
     _KERNEL_TO_CODE[k] for k in (
         Kernel.GEQRT, Kernel.UNMQR, Kernel.TSQRT, Kernel.TSMQR,
         Kernel.TTQRT, Kernel.TTMQR))
-_FACTOR_KERNELS = (Kernel.GEQRT, Kernel.TSQRT, Kernel.TTQRT)
 
 #: tasks a worker may hold queued beyond the one it is executing —
 #: enough to hide queue latency, small enough that the parent's
@@ -173,11 +174,11 @@ class _RunState:
             return tf
         if self.lapack:
             t = self.tstore[fslot]
-            blocks = [t[:jb, j0:j0 + jb] for j0, jb in self.panels]
+            tf = broadcast_tfactor(
+                [t[:jb, j0:j0 + jb] for j0, jb in self.panels], self.ib)
         else:
-            blocks = [self.tstore[fslot, pi, :jb, :jb]
-                      for pi, (_, jb) in enumerate(self.panels)]
-        tf = broadcast_tfactor(blocks, self.ib)
+            tf = stored_tfactor(self.tstore, slice(fslot, fslot + 1),
+                                self.nb)
         self._tf_cache[fslot] = tf
         return tf
 
@@ -722,8 +723,8 @@ class ProcessPool:
         stacked kernels, amortizing the queue round-trip and
         deserialization across the group.
         Returns an :class:`~repro.runtime.executor.ExecutionContext`
-        whose T factors were copied out of shared memory, so
-        ``apply_q`` replay works exactly as for the other backends.
+        holding the T store copied out of shared memory, so
+        ``apply_q`` replays ``Q`` exactly as for the other backends.
         """
         plan_obj = None
         if isinstance(graph, TaskGraph):
@@ -754,10 +755,7 @@ class ProcessPool:
         if metrics is None and collect_metrics:
             metrics = MetricsRegistry()
         ib = _clamp_ib(ib, tiled.nb, metrics)
-        panel_starts(tiled.nb, ib)  # validate ib >= 1 before dispatch
-        ctx = ExecutionContext(tiled=tiled, graph=g,
-                               backend=get_backend(backend_name), ib=ib,
-                               tracer=tracer, metrics=metrics)
+        panels = panel_starts(tiled.nb, ib)  # validates ib >= 1
         n = len(g.tasks)
         if metrics is not None:
             metrics.counter("scheduler.tasks_total").inc(n)
@@ -768,20 +766,17 @@ class ProcessPool:
             metrics.counter("procpool.numeric." + (
                 "lapack" if use_lapack else "numpy")).inc()
         if n == 0:
-            return ctx
+            return ExecutionContext(tiled=tiled, graph=g,
+                                    backend=get_backend(backend_name), ib=ib,
+                                    tracer=tracer, metrics=metrics)
         self._ensure_started()
 
         # ---- flattened dispatch arrays (plan-cached when possible) ----
-        tasks = g.tasks
         if plan_obj is not None and hasattr(plan_obj, "dispatch_arrays"):
             da = plan_obj.dispatch_arrays()
         else:
             da = dispatch_arrays(g)
-        fmap: dict[tuple[int, int, str], int] = {
-            (t.row, t.col, _KIND[t.kernel]): int(da.fslot[t.tid])
-            for t in tasks if t.kernel in _FACTOR_KERNELS}
 
-        npanels = len(panel_starts(tiled.nb, ib))
         idx = plan_obj.index if plan_obj is not None else g.index()
         prio = (np.asarray(plan_obj.bottom_levels(), dtype=np.float64)
                 if plan_obj is not None
@@ -797,7 +792,7 @@ class ProcessPool:
         # factor task; the reference kernels a (npanels, ib, ib) panel
         # stack.  Size the shared T store for whichever runs.
         tshape = ((max(1, da.nfactor), ib, tiled.nb) if use_lapack
-                  else (max(1, da.nfactor), npanels, ib, ib))
+                  else tstore_shape(da.nfactor, tiled.nb, ib))
         tstore = SharedArray(tshape, dtype)
         try:
             # The relay keeps pointing at this bus after the run
@@ -887,36 +882,25 @@ class ProcessPool:
                 raise err
             if bus is not None:
                 bus.publish("run_done", count=n, value=bus.now())
-            # copy T factors out of shared memory before the unlink,
-            # sliced to each tile's valid reflector count (the same
-            # convention as the batched backend's task_tfactor), so
-            # apply_q replays against the ragged tile views
-            tf = ctx.tfactors
-            ts = tstore.array
-            for (row, col, kind), fs in fmap.items():
-                if kind == "ge":
-                    k = min(tiled.row_height(row), tiled.col_width(col))
-                else:  # stacked kernels: one reflector per valid column
-                    k = tiled.col_width(col)
-                if use_lapack:
-                    # reflectors past k have tau = 0, so their T rows
-                    # and columns are zero — the [:min(ib,k), :k]
-                    # corner is the T of the valid reflectors
-                    ibk = max(1, min(ib, k))
-                    l = (min(tiled.row_height(row), tiled.col_width(col))
-                         if kind == "tt" else 0)
-                    tf[(row, col, kind)] = LapackT(
-                        np.array(ts[fs, :ibk, :k]), ibk, l)
-                    continue
-                t = TFactor(ib=ib)
-                for pi, (_, jb) in enumerate(panel_starts(k, ib)):
-                    t.blocks.append(np.array(ts[fs, pi, :jb, :jb]))
-                tf[(row, col, kind)] = t
+            # copy the T store out of shared memory before the unlink,
+            # in the panel layout apply_q reads (the LAPACK store
+            # keeps each T as one (ib, nb) row of side-by-side panels)
+            if use_lapack:
+                store = np.zeros(tstore_shape(da.nfactor, tiled.nb, ib),
+                                 dtype=dtype)
+                for pi, (j0, jb) in enumerate(panels):
+                    store[:, pi, :jb, :jb] = tstore.array[:, :jb,
+                                                          j0:j0 + jb]
+            else:
+                store = tstore.array.copy()
             pool.scatter()
         finally:
             pool.close()
             tstore.close()
-        return ctx
+        return ExecutionContext(tiled=tiled, graph=g,
+                                backend=get_backend(backend_name), ib=ib,
+                                tracer=tracer, metrics=metrics,
+                                tstore=store, plan=plan_obj)
 
     # ------------------------------------------------------------------
     def _await(self, expect: str, count: int, deadline_s: float = 60.0,
